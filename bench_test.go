@@ -84,7 +84,7 @@ func BenchmarkC1Snapshot(b *testing.B) {
 		b.ReportMetric(float64(db.Store().Pages().BytesStored()), "storage_bytes")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.ScanT(pat, at); err != nil {
+			if _, err := db.ScanTContext(context.Background(), pat, at); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -279,7 +279,7 @@ func BenchmarkC5SnapshotScan(b *testing.B) {
 		}
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := db.ScanT(pat, at); err != nil {
+				if _, err := db.ScanTContext(context.Background(), pat, at); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -326,7 +326,7 @@ func BenchmarkC7ScanAll(b *testing.B) {
 		pat := experiments.RestaurantPattern()
 		b.Run(fmt.Sprintf("versions=%d/all", versions), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := db.ScanAll(pat); err != nil {
+				if _, err := db.ScanAllContext(context.Background(), pat); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -334,7 +334,7 @@ func BenchmarkC7ScanAll(b *testing.B) {
 		b.Run(fmt.Sprintf("versions=%d/snapshot", versions), func(b *testing.B) {
 			at := timeAtVersion(versions / 2)
 			for i := 0; i < b.N; i++ {
-				if _, err := db.ScanT(pat, at); err != nil {
+				if _, err := db.ScanTContext(context.Background(), pat, at); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -38,6 +38,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 
 	"txmldb/internal/analysis/load"
 )
@@ -289,7 +290,7 @@ func (g *Graph) devirtualize(from *Node, site token.Pos, recv types.Type, name s
 			continue // interface-to-interface: the method node covers it
 		}
 		pt := types.NewPointer(t)
-		if !types.Implements(t, iface) && !types.Implements(pt, iface) {
+		if !implements(pt, iface) {
 			continue
 		}
 		obj, _, _ := types.LookupFieldOrMethod(pt, true, pkgOf(t), name)
@@ -308,6 +309,43 @@ func (g *Graph) devirtualize(from *Node, site token.Pos, recv types.Type, name s
 		g.addEdge(from, g.node(m), site, true)
 		g.Stats.DevirtEdges++
 	}
+}
+
+// implements reports whether pt's method set covers iface. Signatures are
+// compared as path-qualified strings, not by type identity: every package
+// is type-checked from source against its dependencies' export data, so a
+// type declared in the interface's own package (a parameter of one of its
+// methods) is a different object in an implementing package's view.
+func implements(pt types.Type, iface *types.Interface) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		obj, _, _ := types.LookupFieldOrMethod(pt, true, m.Pkg(), m.Name())
+		f, ok := obj.(*types.Func)
+		if !ok || sigString(f) != sigString(m) {
+			return false
+		}
+	}
+	return true
+}
+
+// sigString renders a function's parameter and result types with
+// package-path qualifiers (names and receiver omitted).
+func sigString(f *types.Func) string {
+	sig := f.Type().(*types.Signature)
+	qual := func(p *types.Package) string { return p.Path() }
+	var b strings.Builder
+	for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteByte('(')
+		for i := 0; i < tup.Len(); i++ {
+			b.WriteString(types.TypeString(tup.At(i).Type(), qual))
+			b.WriteByte(',')
+		}
+		b.WriteByte(')')
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }
 
 func pkgOf(t types.Type) *types.Package {

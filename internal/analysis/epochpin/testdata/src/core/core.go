@@ -5,7 +5,11 @@
 // function outside any query path are the negatives.
 package core
 
-import "context"
+import (
+	"context"
+
+	"txmldb/internal/analysis/epochpin/testdata/src/plan"
+)
 
 type DB struct {
 	versions map[string][]int
@@ -25,6 +29,10 @@ func (db *DB) Snapshot(doc string) []int {
 func (db *DB) SnapshotPinned(ctx context.Context, doc string) []int {
 	return db.VersionsContext(ctx, doc)
 }
+
+// Prefetch completes the plan fixture's Engine interface; its parameter
+// type is declared in the plan package.
+func (db *DB) Prefetch(keys []plan.Key) bool { return len(keys) > 0 }
 
 // Versions is the unpinned compatibility shim — exempt as a caller.
 func (db *DB) Versions(doc string) []int {

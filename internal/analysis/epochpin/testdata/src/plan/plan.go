@@ -9,11 +9,17 @@ package plan
 
 import "context"
 
+// Key is declared here, so the core fixture sees it through export data
+// while this package sees it from source: Engine's Prefetch signature
+// matches DB's only when the call graph compares types by package path.
+type Key struct{ Doc string }
+
 // Engine is the interface the executor drives; the core fixture's DB
 // implements it.
 type Engine interface {
 	QueryContext(ctx context.Context) context.Context
 	Snapshot(doc string) []int
+	Prefetch(keys []Key) bool
 }
 
 // RunContext is a reachability root (exported Run* in a plan package).

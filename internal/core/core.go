@@ -389,7 +389,8 @@ func (db *DB) Current(id model.DocID) (*xmltree.Node, store.VersionInfo, error) 
 // TPatternScan matches the pattern against the snapshot valid at time t
 // and returns the TEIDs of the projected elements.
 func (db *DB) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, error) {
-	ms, err := db.ScanT(p, t)
+	//txvet:ignore ctxflow context-free operator API; the executor calls ScanTContext
+	ms, err := db.ScanTContext(context.Background(), p, t)
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +401,8 @@ func (db *DB) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, error)
 // documents; each returned TEID is stamped with the start of the temporal
 // overlap of its match.
 func (db *DB) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
-	ms, err := db.ScanAll(p)
+	//txvet:ignore ctxflow context-free operator API; the executor calls ScanAllContext
+	ms, err := db.ScanAllContext(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +411,8 @@ func (db *DB) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
 
 // PatternScan matches against the current database state.
 func (db *DB) PatternScan(p *pattern.PNode) ([]model.TEID, error) {
-	ms, err := db.ScanCurrent(p)
+	//txvet:ignore ctxflow context-free operator API; the executor calls ScanCurrentContext
+	ms, err := db.ScanCurrentContext(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}
@@ -443,12 +446,6 @@ func (db *DB) ScanTContext(ctx context.Context, p *pattern.PNode, t model.Time) 
 	return db.clampMatches(ctx, ms), nil
 }
 
-// ScanT implements plan.Engine by delegating to ScanTContext.
-func (db *DB) ScanT(p *pattern.PNode, t model.Time) ([]pattern.Match, error) {
-	//txvet:ignore ctxflow context-free plan.Engine compatibility shim; executors use ScanTContext
-	return db.ScanTContext(context.Background(), p, t)
-}
-
 // ScanAllContext implements plan.ContextScanner: TPatternScanAll under the
 // caller's context.
 func (db *DB) ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error) {
@@ -459,12 +456,6 @@ func (db *DB) ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.M
 	return db.clampMatches(ctx, ms), nil
 }
 
-// ScanAll implements plan.Engine by delegating to ScanAllContext.
-func (db *DB) ScanAll(p *pattern.PNode) ([]pattern.Match, error) {
-	//txvet:ignore ctxflow context-free plan.Engine compatibility shim; executors use ScanAllContext
-	return db.ScanAllContext(context.Background(), p)
-}
-
 // ScanCurrentContext implements plan.ContextScanner: the non-temporal
 // PatternScan under the caller's context.
 func (db *DB) ScanCurrentContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error) {
@@ -473,12 +464,6 @@ func (db *DB) ScanCurrentContext(ctx context.Context, p *pattern.PNode) ([]patte
 		return nil, err
 	}
 	return db.clampMatches(ctx, ms), nil
-}
-
-// ScanCurrent implements plan.Engine by delegating to ScanCurrentContext.
-func (db *DB) ScanCurrent(p *pattern.PNode) ([]pattern.Match, error) {
-	//txvet:ignore ctxflow context-free plan.Engine compatibility shim; executors use ScanCurrentContext
-	return db.ScanCurrentContext(context.Background(), p)
 }
 
 // DocHistory returns all versions of the document valid in [from, to),
@@ -576,22 +561,22 @@ func (db *DB) ReconstructContext(ctx context.Context, teid model.TEID) (*xmltree
 	return n.Detach(), nil
 }
 
-// ReconstructVersion implements plan.Engine. With the cache enabled this
-// is the shared entry point that gives the plan executor, server, CLI and
-// operators exact hits, nearest-ancestor replays and singleflight
-// collapse transparently.
+// ReconstructVersion is the Reconstruct operator for a whole document
+// version; see ReconstructVersionContext.
 func (db *DB) ReconstructVersion(id model.DocID, ver model.VersionNo) (store.VersionTree, error) {
-	//txvet:ignore ctxflow context-free plan.Engine compatibility shim; executors use ReconstructVersionContext
+	//txvet:ignore ctxflow context-free operator API; ReconstructVersionContext is the canonical path
 	return db.ReconstructVersionContext(context.Background(), id, ver)
 }
 
-// ReconstructVersionContext implements plan.ContextReconstructor. Exact
-// cache hits never touch the backend, so cache-resident versions are
-// served even while the circuit breaker is open; a breaker-rejected
-// reconstruction of the *current* version falls back to the in-memory
-// current snapshot, which is complete by construction (Section 7.1 keeps
-// the current version whole). Anything else propagates the typed failure
-// fast.
+// ReconstructVersionContext implements plan.ContextReconstructor. With the
+// cache enabled this is the shared entry point that gives the plan
+// executor, server, CLI and operators exact hits, nearest-ancestor replays
+// and singleflight collapse transparently. Exact cache hits never touch
+// the backend, so cache-resident versions are served even while the
+// circuit breaker is open; a breaker-rejected reconstruction of the
+// *current* version falls back to the in-memory current snapshot, which is
+// complete by construction (Section 7.1 keeps the current version whole).
+// Anything else propagates the typed failure fast.
 func (db *DB) ReconstructVersionContext(ctx context.Context, id model.DocID, ver model.VersionNo) (store.VersionTree, error) {
 	_, pinnedRead := store.EpochOf(ctx)
 	var vt store.VersionTree
@@ -646,7 +631,8 @@ func (db *DB) PurgeCache() {
 // /metrics).
 func (db *DB) IOStats() pagestore.IOStats { return db.store.Pages().Stats() }
 
-// Versions implements plan.Engine.
+// Versions returns a document's delta index at the live horizon; see
+// VersionsContext for the pinned form.
 func (db *DB) Versions(id model.DocID) ([]store.VersionInfo, error) {
 	return db.store.Versions(id)
 }
@@ -792,9 +778,10 @@ func (db *DB) DiffNodes(a, b *xmltree.Node) (*xmltree.Node, error) {
 	return script.ToXML(), nil
 }
 
-// Query parses and executes a temporal query.
+// Query parses and executes a temporal query; see QueryContext.
 func (db *DB) Query(src string) (*plan.Result, error) {
-	return plan.RunString(db, src)
+	//txvet:ignore ctxflow context-free convenience; QueryContext is the canonical path
+	return db.QueryContext(context.Background(), src)
 }
 
 // QueryContext parses and executes a temporal query under a context:

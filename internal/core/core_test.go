@@ -1,12 +1,19 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"txmldb/internal/model"
+	"txmldb/internal/pagestore"
 	"txmldb/internal/pattern"
 	"txmldb/internal/plan"
+	"txmldb/internal/resilience"
+	"txmldb/internal/store"
+	"txmldb/internal/vcache"
 	"txmldb/internal/xmltree"
 )
 
@@ -156,5 +163,69 @@ func TestFigure1Q3(t *testing.T) {
 	}
 	if got[jan1] != "15" || got[jan31] != "18" {
 		t.Fatalf("Q3 history = %v, want 15@jan1 and 18@jan31", got)
+	}
+}
+
+// TestQueryNotesDegradedRejectLikeQueryContext: with the breaker open, a
+// query that needs an uncached version fails fast, and Query accounts the
+// rejection in the health snapshot exactly as QueryContext does.
+func TestQueryNotesDegradedRejectLikeQueryContext(t *testing.T) {
+	inj := pagestore.NewInjector(pagestore.NewMemory(), 1)
+	db := Open(Config{
+		Clock: func() model.Time { return feb10 },
+		Store: store.Config{
+			Pages:       pagestore.Config{Backend: inj},
+			ReadRetries: -1,
+		},
+		Cache: vcache.Config{MaxBytes: 8 << 20},
+		Resilience: resilience.Config{
+			Enabled: true,
+			Breaker: resilience.BreakerConfig{
+				FailureThreshold: 3,
+				OpenFor:          time.Minute,
+				ProbeSuccesses:   1,
+				Clock:            func() time.Time { return time.Unix(0, 0) },
+			},
+			Health: resilience.HealthConfig{DegradeAfter: 3, FailAfter: 10, RecoverAfter: 2},
+		},
+	})
+	id, err := db.Put(guideURL, guide([2]string{"Napoli", "15"}), jan1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.Update(id, guide([2]string{"Napoli", "16"}), jan15); err != nil {
+		t.Fatal(err)
+	}
+	// Version 1 is not cached: every query over it reads the backend.
+	q := `SELECT R FROM doc("` + guideURL + `")[05/01/2001]/restaurant R`
+	inj.SetOutage(true)
+	ctx := context.Background()
+	for i := 0; ; i++ {
+		_, err := db.QueryContext(ctx, q)
+		if errors.Is(err, resilience.ErrCircuitOpen) {
+			break
+		}
+		if err == nil || i == 10 {
+			t.Fatalf("breaker never opened: %v", err)
+		}
+	}
+	rejects := func() int64 {
+		snap, _ := db.Health()
+		return snap.DegradedRejects
+	}
+	before := rejects()
+	if _, err := db.QueryContext(ctx, q); !errors.Is(err, resilience.ErrCircuitOpen) {
+		t.Fatalf("QueryContext with the breaker open = %v, want ErrCircuitOpen", err)
+	}
+	perCall := rejects() - before
+	if perCall < 1 {
+		t.Fatalf("QueryContext raised DegradedRejects by %d, want at least 1", perCall)
+	}
+	before = rejects()
+	if _, err := db.Query(q); !errors.Is(err, resilience.ErrCircuitOpen) {
+		t.Fatalf("Query with the breaker open = %v, want ErrCircuitOpen", err)
+	}
+	if got := rejects() - before; got != perCall {
+		t.Fatalf("Query raised DegradedRejects by %d, QueryContext by %d", got, perCall)
 	}
 }

@@ -22,8 +22,9 @@ import (
 // replayed; the in-memory indexes are restored from the image's blobs and
 // topped up incrementally from the versions committed after the horizon. A
 // missing or corrupt checkpoint falls back — older image, then full replay
-// from the first segment — and never fails the open. A legacy single-file
-// "pages.wal" directory is adopted transparently.
+// from the first segment — and never fails the open. A directory holding
+// the pre-segmentation single log file "pages.wal" is adopted
+// transparently.
 //
 // cfg.Store.Pages.Backend is overridden by the segmented WAL backend.
 func OpenDurable(cfg Config, dir string) (*DB, error) {
@@ -160,10 +161,7 @@ func (db *DB) resetIndexes(cfg Config) {
 // WALStats returns the write-ahead-log counters, or false when the
 // database does not run on a WAL backend.
 func (db *DB) WALStats() (pagestore.WALStats, bool) {
-	switch w := db.store.Pages().Backend().(type) {
-	case *pagestore.SegmentedWAL:
-		return w.Stats(), true
-	case *pagestore.WAL:
+	if w, ok := db.store.Pages().Backend().(*pagestore.SegmentedWAL); ok {
 		return w.Stats(), true
 	}
 	return pagestore.WALStats{}, false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sort"
@@ -162,7 +163,7 @@ func TestOpenDurableRecoversDeletedDocs(t *testing.T) {
 		t.Fatalf("DocHistory = %v, %v; want the single pre-deletion version", hist, err)
 	}
 	// Current-state pattern scan must not resurrect the deleted doc.
-	matches, err := r.ScanCurrent(restaurantPattern())
+	matches, err := r.ScanCurrentContext(context.Background(), restaurantPattern())
 	if err != nil {
 		t.Fatal(err)
 	}

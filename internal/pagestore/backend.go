@@ -37,11 +37,12 @@ func Checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // Backend is the persistence tier under a Store. The Store keeps the
 // accounting, placement and caching logic; a backend only has to remember
-// extents and an opaque metadata blob, and to make both durable on Commit.
+// extents and opaque metadata — a full blob plus the incremental deltas
+// appended on top of it — and to make them durable on Commit.
 //
 // Implementations: the in-memory backend (volatile, the original simulated
-// disk), the WAL file backend (durable, see wal.go) and the fault injector
-// (a decorator over either, see fault.go).
+// disk), the segmented write-ahead log (durable, see segwal.go) and the
+// fault injector (a decorator over either, see fault.go).
 type Backend interface {
 	// Put stores the extent at the given start page, replacing any
 	// previous extent there.
@@ -56,6 +57,13 @@ type Backend interface {
 	PutMeta(meta []byte) error
 	// Meta returns the current metadata blob, nil if none was stored.
 	Meta() []byte
+	// PutMetaDelta appends an incremental metadata record on top of the
+	// last full PutMeta blob, so per-commit metadata cost is proportional
+	// to the mutated document, not the whole catalog.
+	PutMetaDelta(delta []byte) error
+	// MetaDeltas returns, in append order, the deltas stored since the
+	// last PutMeta (after a reopen: the committed ones).
+	MetaDeltas() [][]byte
 	// Commit is the durability barrier: everything written before it must
 	// survive a crash. Volatile backends treat it as a no-op.
 	Commit() error
@@ -71,19 +79,6 @@ type Backend interface {
 	Durable() bool
 	// Close releases resources; the backend is unusable afterwards.
 	Close() error
-}
-
-// DeltaMetaBackend is an optional backend capability: incremental metadata
-// persistence. PutMetaDelta appends a delta on top of the last full PutMeta
-// snapshot instead of rewriting the whole blob; MetaDeltas returns, in
-// append order, the committed deltas recovered since that snapshot. The
-// version store probes for it so that per-commit metadata cost is
-// proportional to the mutated document, not the whole catalog. Backends
-// without it (memory, single-file WAL, fault injector) keep the
-// full-snapshot path.
-type DeltaMetaBackend interface {
-	PutMetaDelta(delta []byte) error
-	MetaDeltas() [][]byte
 }
 
 // ProvenanceBackend is an optional backend capability: reporting where an
@@ -102,6 +97,7 @@ type memory struct {
 	mu      sync.Mutex
 	extents map[int64]Extent
 	meta    []byte
+	deltas  [][]byte
 	next    int64
 }
 
@@ -139,6 +135,7 @@ func (m *memory) PutMeta(meta []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.meta = append([]byte(nil), meta...)
+	m.deltas = nil
 	return nil
 }
 
@@ -146,6 +143,19 @@ func (m *memory) Meta() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.meta
+}
+
+func (m *memory) PutMetaDelta(delta []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.deltas = append(m.deltas, append([]byte(nil), delta...))
+	return nil
+}
+
+func (m *memory) MetaDeltas() [][]byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.deltas
 }
 
 func (m *memory) Commit() error { return nil }

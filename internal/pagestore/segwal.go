@@ -12,20 +12,19 @@ import (
 	"sync"
 )
 
-// The segmented WAL is the rotation-capable successor of the single-file
-// WAL: the log is a directory of numbered segment files (wal-00000001.seg,
-// wal-00000002.seg, ...) sharing the single-file frame codec. Rotation
+// The segmented WAL is the durable backend: the log is a directory of
+// numbered segment files (wal-00000001.seg, wal-00000002.seg, ...) written
+// in the frame format of walcodec.go. Rotation
 // happens only at commit boundaries, so a transaction never spans segments
 // and every segment but the active one ends exactly at a commit marker.
 // That invariant is what makes compaction safe: once a checkpoint image
 // covers the log up to a position (seq, off), every segment numbered below
 // seq is dead weight and can be deleted.
 //
-// On top of the Backend contract the segmented WAL adds:
+// Metadata deltas are recMetaDelta records, so per-commit metadata cost is
+// proportional to the mutated document. On top of the Backend contract the
+// segmented WAL adds:
 //
-//   - DeltaMetaBackend: recMetaDelta records so per-commit metadata cost is
-//     proportional to the mutated document (the single-file WAL rewrites
-//     the full catalog every commit).
 //   - ProvenanceBackend: every live extent remembers which segment file and
 //     offset (or checkpoint image) its bytes came from, for fsck triage.
 //   - BaseState opens: the checkpoint subsystem hands the recovered image
@@ -35,8 +34,8 @@ const (
 	segPrefix = "wal-"
 	segSuffix = ".seg"
 
-	// legacyWALFile is the single-file WAL name from before segmentation;
-	// an existing one is adopted as segment 1 on first segmented open.
+	// legacyWALFile is the single log file of the format before
+	// segmentation; an existing one is adopted as segment 1 on first open.
 	legacyWALFile = "pages.wal"
 
 	// DefaultSegmentBytes is the rotation threshold when the configuration
@@ -118,9 +117,10 @@ var (
 	ErrBadSegment = errors.New("pagestore: wal segment corrupt")
 )
 
-// SegmentedWAL is the durable segment-rotating backend. Like the
-// single-file WAL, reads are served from an in-memory mirror; the segment
-// files are the durability story.
+// SegmentedWAL is the durable segment-rotating backend. Reads are served
+// from an in-memory mirror of the extent table (like a log-structured
+// store with a resident index); the segment files are the durability
+// story.
 type SegmentedWAL struct {
 	mu       sync.Mutex
 	dir      string
@@ -156,7 +156,7 @@ func OpenSegmentedWAL(cfg SegWALConfig) (*SegmentedWAL, error) {
 		return nil, err
 	}
 	if len(segs) == 0 {
-		// Adopt a pre-segmentation single-file WAL as segment 1.
+		// Adopt a pre-segmentation single log file as segment 1.
 		legacy := filepath.Join(cfg.Dir, legacyWALFile)
 		if _, err := os.Stat(legacy); err == nil {
 			if err := os.Rename(legacy, filepath.Join(cfg.Dir, SegmentFileName(1))); err != nil {
@@ -297,66 +297,28 @@ func (w *SegmentedWAL) replaySegment(seq, skip int64, last bool) error {
 	return nil
 }
 
-// applyLog is replayLog with origin tracking: committed records mutate the
-// backend state directly, and extents remember the segment/offset their
-// frame started at.
-func (w *SegmentedWAL) applyLog(seq, base int64, data []byte) replayState {
-	var st replayState
-	type segOp struct {
-		pendingOp
-		origin ExtentOrigin
-	}
-	var pending []segOp
-	off := int64(0)
-	for {
-		fr, n, err := decodeFrame(data[off:])
-		if err != nil {
-			break
-		}
-		switch fr.kind {
+// applyLog replays one segment image into the backend state: committed
+// records mutate it directly, and extents remember the segment/offset
+// their frame started at.
+func (w *SegmentedWAL) applyLog(seq, base int64, data []byte) replayStats {
+	return replayLog(data, func(op logOp) {
+		switch op.kind {
 		case recExtent:
-			ext := Extent{
-				Data:  append([]byte(nil), fr.payload...),
-				Pages: int32(fr.pages),
-				Sum:   Checksum(fr.payload),
+			w.extents[op.start] = op.ext
+			w.origins[op.start] = ExtentOrigin{Seq: seq, Off: base + op.off}
+			if end := op.start + int64(op.ext.Pages); end > w.next {
+				w.next = end
 			}
-			pending = append(pending, segOp{
-				pendingOp: pendingOp{kind: recExtent, start: fr.start, ext: ext},
-				origin:    ExtentOrigin{Seq: seq, Off: base + off},
-			})
 		case recFree:
-			pending = append(pending, segOp{pendingOp: pendingOp{kind: recFree, start: fr.start}})
+			delete(w.extents, op.start)
+			delete(w.origins, op.start)
 		case recMeta:
-			pending = append(pending, segOp{pendingOp: pendingOp{kind: recMeta, meta: append([]byte(nil), fr.payload...)}})
+			w.meta = op.meta
+			w.deltas = nil
 		case recMetaDelta:
-			pending = append(pending, segOp{pendingOp: pendingOp{kind: recMetaDelta, meta: append([]byte(nil), fr.payload...)}})
-		case recCommit:
-			for _, op := range pending {
-				switch op.kind {
-				case recExtent:
-					w.extents[op.start] = op.ext
-					w.origins[op.start] = op.origin
-					if end := op.start + int64(op.ext.Pages); end > w.next {
-						w.next = end
-					}
-					st.extentsApplied++
-				case recFree:
-					delete(w.extents, op.start)
-					delete(w.origins, op.start)
-				case recMeta:
-					w.meta = op.meta
-					w.deltas = nil
-				case recMetaDelta:
-					w.deltas = append(w.deltas, op.meta)
-				}
-			}
-			pending = pending[:0]
-			st.committed = off + int64(n)
-			st.commits++
+			w.deltas = append(w.deltas, op.meta)
 		}
-		off += int64(n)
-	}
-	return st
+	})
 }
 
 // createSegmentLocked creates the segment file for seq, makes its directory
@@ -475,7 +437,7 @@ func (w *SegmentedWAL) Meta() []byte {
 	return w.meta
 }
 
-// PutMetaDelta logs an incremental metadata record (DeltaMetaBackend).
+// PutMetaDelta logs an incremental metadata record.
 func (w *SegmentedWAL) PutMetaDelta(delta []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -504,9 +466,8 @@ func (w *SegmentedWAL) Commit() error {
 		return err
 	}
 	w.stats.Commits++
-	// Commit is the durability barrier: the fsync must
-	// complete before the mutation is acknowledged, so it stays under the
-	// lock like the single-file WAL's.
+	// Commit is the durability barrier: the fsync must complete before
+	// the mutation is acknowledged, so it stays under the lock.
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("pagestore: sync wal segment: %w", err)
 	}

@@ -128,20 +128,12 @@ func TestSegWALMetaDeltas(t *testing.T) {
 
 func TestSegWALAdoptsLegacyWAL(t *testing.T) {
 	dir := t.TempDir()
-	lw, err := OpenWAL(filepath.Join(dir, legacyWALFile))
-	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
+	log := encodeFrame(nil, recExtent, 0, 1, []byte("legacy extent"))
+	log = encodeFrame(log, recMeta, 0, 0, []byte("legacy meta"))
+	log = encodeFrame(log, recCommit, 0, 0, nil)
+	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), log, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := lw.Put(0, Extent{Data: []byte("legacy extent"), Pages: 1, Sum: Checksum([]byte("legacy extent"))}); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := lw.PutMeta([]byte("legacy meta")); err != nil {
-		t.Fatalf("PutMeta: %v", err)
-	}
-	if err := lw.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	lw.Close()
 
 	w := openSeg(t, dir, 1<<20)
 	ext, err := w.Get(0)
@@ -383,6 +375,259 @@ func TestSegWALMidLogCorruptionFailsOpen(t *testing.T) {
 	}
 	if _, err := OpenSegmentedWAL(SegWALConfig{Dir: dir, SegmentBytes: 64}); !errors.Is(err, ErrBadSegment) {
 		t.Fatalf("open over mid-log corruption = %v, want ErrBadSegment", err)
+	}
+}
+
+func TestWALPersistReopen(t *testing.T) {
+	dir := t.TempDir()
+	w := openSeg(t, dir, 1<<20)
+	segPut(t, w, 0, []byte("first extent"), 2)
+	segPut(t, w, 2, []byte("second extent"), 3)
+	if err := w.PutMeta([]byte(`{"docs":1}`)); err != nil {
+		t.Fatalf("PutMeta: %v", err)
+	}
+	segCommit(t, w)
+	// Overwrite one extent and free the other in a second commit.
+	segPut(t, w, 0, []byte("first extent, rewritten"), 2)
+	if err := w.Delete(2); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	segCommit(t, w)
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	r := openSeg(t, dir, 1<<20)
+	ext, err := r.Get(0)
+	if err != nil {
+		t.Fatalf("Get(0) after reopen: %v", err)
+	}
+	if string(ext.Data) != "first extent, rewritten" {
+		t.Fatalf("Get(0) = %q, want rewritten payload", ext.Data)
+	}
+	if ext.Sum != Checksum(ext.Data) {
+		t.Fatalf("recovered checksum %#x does not match payload", ext.Sum)
+	}
+	if _, err := r.Get(2); !errors.Is(err, ErrUnknownExtent) {
+		t.Fatalf("Get(2) after freeing = %v, want ErrUnknownExtent", err)
+	}
+	if got := string(r.Meta()); got != `{"docs":1}` {
+		t.Fatalf("Meta after reopen = %q", got)
+	}
+	// NextPage must clear the high-water mark of every recovered extent,
+	// including the freed one (its pages are not reused).
+	if np := r.NextPage(); np < 2 {
+		t.Fatalf("NextPage after reopen = %d, want >= 2", np)
+	}
+	if st := r.Stats(); st.TruncatedOnOpen != 0 || st.RecoveredBytes == 0 {
+		t.Fatalf("clean reopen stats = %+v, want full recovery, no truncation", st)
+	}
+}
+
+func TestWALUncommittedTailDiscarded(t *testing.T) {
+	dir := t.TempDir()
+	w := openSeg(t, dir, 1<<20)
+	segPut(t, w, 0, []byte("durable"), 1)
+	segCommit(t, w)
+	committed, err := w.Size()
+	if err != nil {
+		t.Fatalf("Size: %v", err)
+	}
+	// Appended but never committed: must vanish on reopen.
+	segPut(t, w, 1, []byte("volatile"), 1)
+	if err := w.PutMeta([]byte("volatile meta")); err != nil {
+		t.Fatalf("PutMeta: %v", err)
+	}
+	w.Close()
+
+	r := openSeg(t, dir, 1<<20)
+	if _, err := r.Get(1); !errors.Is(err, ErrUnknownExtent) {
+		t.Fatalf("uncommitted extent survived reopen: %v", err)
+	}
+	if m := r.Meta(); m != nil {
+		t.Fatalf("uncommitted meta survived reopen: %q", m)
+	}
+	if _, err := r.Get(0); err != nil {
+		t.Fatalf("committed extent lost: %v", err)
+	}
+	st := r.Stats()
+	if st.RecoveredBytes != committed {
+		t.Fatalf("RecoveredBytes = %d, want %d", st.RecoveredBytes, committed)
+	}
+	if st.TruncatedOnOpen == 0 {
+		t.Fatalf("TruncatedOnOpen = 0, want the uncommitted tail counted")
+	}
+	if sz, _ := r.Size(); sz != committed {
+		t.Fatalf("file size after truncation = %d, want %d", sz, committed)
+	}
+}
+
+// walGolden is the expected recovered image at one commit boundary.
+type walGolden struct {
+	offset  int64            // log size right after the commit
+	extents map[int64]string // start page -> payload
+	meta    string
+}
+
+// TestWALTornTailRecovery truncates a three-commit, one-segment log at
+// every byte offset and asserts recovery lands exactly on the state of the
+// last whole commit — extents, metadata and recovered byte count. This is
+// the crash-at-every-offset property at the log level; see
+// TestSegWALTornTailEveryOffset for a cut behind a rotation.
+func TestWALTornTailRecovery(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, SegmentFileName(1))
+	w := openSeg(t, dir, 1<<20)
+
+	goldens := []walGolden{{offset: 0, extents: map[int64]string{}}}
+	snap := func(extents map[int64]string, meta string) {
+		sz, err := w.Size()
+		if err != nil {
+			t.Fatalf("Size: %v", err)
+		}
+		goldens = append(goldens, walGolden{offset: sz, extents: extents, meta: meta})
+	}
+
+	segPut(t, w, 0, []byte("alpha"), 1)
+	segPut(t, w, 1, []byte("beta"), 1)
+	segCommit(t, w)
+	snap(map[int64]string{0: "alpha", 1: "beta"}, "")
+
+	segPut(t, w, 2, []byte("gamma-long-payload-crossing-frames"), 2)
+	if err := w.PutMeta([]byte("m1")); err != nil {
+		t.Fatalf("PutMeta: %v", err)
+	}
+	segCommit(t, w)
+	snap(map[int64]string{0: "alpha", 1: "beta", 2: "gamma-long-payload-crossing-frames"}, "m1")
+
+	if err := w.Delete(1); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	segPut(t, w, 0, []byte("alpha-v2"), 1)
+	if err := w.PutMeta([]byte("m2")); err != nil {
+		t.Fatalf("PutMeta: %v", err)
+	}
+	segCommit(t, w)
+	snap(map[int64]string{0: "alpha-v2", 2: "gamma-long-payload-crossing-frames"}, "m2")
+
+	w.Close()
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	if int64(len(full)) != goldens[len(goldens)-1].offset {
+		t.Fatalf("file size %d != last commit offset %d", len(full), goldens[len(goldens)-1].offset)
+	}
+
+	for cut := int64(0); cut <= int64(len(full)); cut++ {
+		// The golden state is the last commit wholly inside the prefix.
+		want := goldens[0]
+		for _, g := range goldens {
+			if g.offset <= cut {
+				want = g
+			}
+		}
+		work := t.TempDir()
+		if err := os.WriteFile(filepath.Join(work, SegmentFileName(1)), full[:cut], 0o644); err != nil {
+			t.Fatalf("write torn copy: %v", err)
+		}
+		r, err := OpenSegmentedWAL(SegWALConfig{Dir: work, SegmentBytes: 1 << 20})
+		if err != nil {
+			t.Fatalf("cut=%d: open: %v", cut, err)
+		}
+		for start, payload := range want.extents {
+			ext, err := r.Get(start)
+			if err != nil {
+				t.Fatalf("cut=%d: Get(%d): %v", cut, start, err)
+			}
+			if string(ext.Data) != payload {
+				t.Fatalf("cut=%d: Get(%d) = %q, want %q", cut, start, ext.Data, payload)
+			}
+		}
+		count := 0
+		r.Range(func(int64, Extent) bool { count++; return true })
+		if count != len(want.extents) {
+			t.Fatalf("cut=%d: recovered %d extents, want %d", cut, count, len(want.extents))
+		}
+		if got := string(r.Meta()); got != want.meta {
+			t.Fatalf("cut=%d: Meta = %q, want %q", cut, got, want.meta)
+		}
+		if st := r.Stats(); st.RecoveredBytes != want.offset {
+			t.Fatalf("cut=%d: RecoveredBytes = %d, want %d", cut, st.RecoveredBytes, want.offset)
+		}
+		r.Close()
+	}
+}
+
+func TestWALCorruptTailBytes(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, SegmentFileName(1))
+	w := openSeg(t, dir, 1<<20)
+	segPut(t, w, 0, []byte("keep me"), 1)
+	segCommit(t, w)
+	keep, _ := w.Size()
+	segPut(t, w, 1, []byte("bit-rotted"), 1)
+	segCommit(t, w)
+	w.Close()
+
+	// Flip a byte inside the second commit's extent record: the frame CRC
+	// fails, replay stops there, and the file is cut back to commit one.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	data[keep+frameHeaderLen] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+
+	r := openSeg(t, dir, 1<<20)
+	if _, err := r.Get(0); err != nil {
+		t.Fatalf("first commit lost after tail corruption: %v", err)
+	}
+	if _, err := r.Get(1); !errors.Is(err, ErrUnknownExtent) {
+		t.Fatalf("corrupt record replayed: %v", err)
+	}
+	if sz, _ := r.Size(); sz != keep {
+		t.Fatalf("truncated size = %d, want %d", sz, keep)
+	}
+}
+
+func TestWALStatsWriteAmplification(t *testing.T) {
+	w := openSeg(t, t.TempDir(), 1<<20)
+	payload := bytes.Repeat([]byte("x"), 1000)
+	segPut(t, w, 0, payload, 1)
+	segCommit(t, w)
+	st := w.Stats()
+	if st.Records != 2 || st.Commits != 1 || st.Syncs != 1 {
+		t.Fatalf("stats = %+v, want 2 records, 1 commit, 1 sync", st)
+	}
+	if st.PayloadBytes != int64(len(payload)) {
+		t.Fatalf("PayloadBytes = %d, want %d", st.PayloadBytes, len(payload))
+	}
+	wantAppended := int64(len(payload)) + 2*(frameHeaderLen+frameCRCLen)
+	if st.BytesAppended != wantAppended {
+		t.Fatalf("BytesAppended = %d, want %d", st.BytesAppended, wantAppended)
+	}
+	amp := st.WriteAmplification()
+	if amp <= 1 || amp > 1.1 {
+		t.Fatalf("WriteAmplification = %v, want slightly above 1 for a 1000-byte payload", amp)
+	}
+	if (WALStats{}).WriteAmplification() != 0 {
+		t.Fatalf("zero stats must report zero amplification")
+	}
+}
+
+func TestWALRejectsUseAfterClose(t *testing.T) {
+	w := openSeg(t, t.TempDir(), 1<<20)
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if err := w.Put(0, Extent{Data: []byte("x"), Pages: 1}); err == nil {
+		t.Fatalf("Put after Close succeeded")
 	}
 }
 

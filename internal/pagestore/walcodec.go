@@ -1,0 +1,198 @@
+package pagestore
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+)
+
+// The write-ahead log is a sequence of framed, CRC32-checksummed records:
+// every mutation (extent write, extent free, metadata record) is one
+// frame, and a commit marker ends each transaction. Replay applies records
+// commit-by-commit; a torn tail — a partial record, a record with a bad
+// checksum, or complete records not followed by a commit marker — is
+// ignored, so a crash at any byte offset recovers exactly the committed
+// prefix. SegmentedWAL (segwal.go) writes this format into rotating
+// segment files.
+//
+// Record frame layout (little-endian):
+//
+//	offset size field
+//	0      1    kind: 'E' extent, 'F' free, 'M' meta, 'D' meta delta, 'C' commit
+//	1      8    start page (extent/free; zero otherwise)
+//	9      4    extent length in pages (extent; zero otherwise)
+//	13     4    payload length in bytes
+//	17     n    payload
+//	17+n   4    CRC32 (IEEE) over bytes [0, 17+n)
+//
+// The extent payload checksum handed to readers (Extent.Sum) is recomputed
+// from the payload on replay, so it is covered twice: once by the frame CRC
+// at rest and once by the Store's per-read verification after recovery.
+const (
+	recExtent byte = 'E'
+	recFree   byte = 'F'
+	recMeta   byte = 'M'
+	recCommit byte = 'C'
+	// recMetaDelta is an incremental metadata record: instead of a full
+	// snapshot of the version store's delta index, the payload describes
+	// only the mutated document. Replay collects them in order on top of
+	// the last full recMeta snapshot.
+	recMetaDelta byte = 'D'
+
+	frameHeaderLen = 17
+	frameCRCLen    = 4
+
+	// maxFramePayload bounds a single record; decode rejects anything
+	// larger so that a corrupt length field cannot drive allocation.
+	maxFramePayload = 1 << 28
+)
+
+// WALStats counts write-path activity of a WAL backend. BytesAppended over
+// PayloadBytes is the write amplification of the log format (framing,
+// metadata snapshots and commit markers on top of extent payloads).
+type WALStats struct {
+	Records         int64 // records appended (including commit markers)
+	Commits         int64 // Commit calls
+	Syncs           int64 // fsyncs issued
+	BytesAppended   int64 // total bytes appended to the log file
+	PayloadBytes    int64 // extent payload bytes appended
+	RecoveredBytes  int64 // bytes of committed log replayed at open
+	TruncatedOnOpen int64 // bytes of torn/uncommitted tail discarded at open
+	ReplayedCommits int64 // commit markers applied during open replay
+	ReplayedExtents int64 // extent records applied during open replay
+	SegmentsScanned int64 // segment files read during open (segmented WAL)
+}
+
+// WriteAmplification returns BytesAppended / PayloadBytes (0 when no
+// payload was written yet).
+func (w WALStats) WriteAmplification() float64 {
+	if w.PayloadBytes == 0 {
+		return 0
+	}
+	return float64(w.BytesAppended) / float64(w.PayloadBytes)
+}
+
+// logOp is one logged mutation: an extent write or free, or a metadata
+// record, with the offset its frame starts at in the replayed image.
+type logOp struct {
+	kind  byte
+	start int64
+	ext   Extent
+	meta  []byte
+	off   int64
+}
+
+// replayStats summarizes a replayed log image.
+type replayStats struct {
+	committed      int64 // offset just past the last applied commit marker
+	commits        int64 // commit markers applied
+	extentsApplied int64 // extent records applied
+}
+
+// replayLog decodes a log image and hands every committed mutation to
+// apply, in log order, one commit at a time. It never fails: decoding
+// stops at the first malformed frame and everything after the last commit
+// marker is ignored. It must never panic, whatever the input (the fuzz
+// target feeds it arbitrary bytes).
+func replayLog(data []byte, apply func(logOp)) replayStats {
+	var st replayStats
+	var pending []logOp
+	off := int64(0)
+	for {
+		fr, n, err := decodeFrame(data[off:])
+		if err != nil {
+			break
+		}
+		op := logOp{kind: fr.kind, start: fr.start, off: off}
+		switch fr.kind {
+		case recExtent:
+			op.ext = Extent{
+				Data:  append([]byte(nil), fr.payload...),
+				Pages: int32(fr.pages),
+				Sum:   Checksum(fr.payload),
+			}
+		case recMeta, recMetaDelta:
+			op.meta = append([]byte(nil), fr.payload...)
+		}
+		off += int64(n)
+		if fr.kind != recCommit {
+			pending = append(pending, op)
+			continue
+		}
+		for _, p := range pending {
+			if p.kind == recExtent {
+				st.extentsApplied++
+			}
+			apply(p)
+		}
+		pending = pending[:0]
+		st.committed = off
+		st.commits++
+	}
+	return st
+}
+
+// frame is one decoded WAL record.
+type frame struct {
+	kind    byte
+	start   int64
+	pages   uint32
+	payload []byte
+}
+
+// errBadFrame reports a frame that cannot be decoded (short, oversized,
+// unknown kind, or checksum mismatch). During recovery it marks the torn
+// tail; it is not surfaced to users.
+var errBadFrame = errors.New("pagestore: malformed wal frame")
+
+// decodeFrame decodes the first record in data, returning it and the number
+// of bytes consumed. The payload aliases data.
+func decodeFrame(data []byte) (frame, int, error) {
+	if len(data) < frameHeaderLen+frameCRCLen {
+		return frame{}, 0, errBadFrame
+	}
+	var fr frame
+	fr.kind = data[0]
+	switch fr.kind {
+	case recExtent, recFree, recMeta, recCommit, recMetaDelta:
+	default:
+		return frame{}, 0, fmt.Errorf("%w: unknown kind %#x", errBadFrame, fr.kind)
+	}
+	fr.start = int64(binary.LittleEndian.Uint64(data[1:9]))
+	fr.pages = binary.LittleEndian.Uint32(data[9:13])
+	plen := binary.LittleEndian.Uint32(data[13:17])
+	if plen > maxFramePayload {
+		return frame{}, 0, fmt.Errorf("%w: payload length %d", errBadFrame, plen)
+	}
+	total := frameHeaderLen + int(plen) + frameCRCLen
+	if len(data) < total {
+		return frame{}, 0, errBadFrame
+	}
+	body := data[:frameHeaderLen+int(plen)]
+	want := binary.LittleEndian.Uint32(data[frameHeaderLen+int(plen) : total])
+	if Checksum(body) != want {
+		return frame{}, 0, fmt.Errorf("%w: checksum mismatch", errBadFrame)
+	}
+	fr.payload = data[frameHeaderLen : frameHeaderLen+int(plen)]
+	// Extents must cover at least the pages their payload needs; a frame
+	// that claims zero pages for a non-empty payload would corrupt the
+	// allocation high-water mark.
+	if fr.kind == recExtent && fr.pages == 0 {
+		return frame{}, 0, fmt.Errorf("%w: extent with zero pages", errBadFrame)
+	}
+	return fr, total, nil
+}
+
+// encodeFrame appends one record to buf and returns the extended slice.
+func encodeFrame(buf []byte, kind byte, start int64, pages uint32, payload []byte) []byte {
+	var hdr [frameHeaderLen]byte
+	hdr[0] = kind
+	binary.LittleEndian.PutUint64(hdr[1:9], uint64(start))
+	binary.LittleEndian.PutUint32(hdr[9:13], pages)
+	binary.LittleEndian.PutUint32(hdr[13:17], uint32(len(payload)))
+	rec := append(buf, hdr[:]...)
+	rec = append(rec, payload...)
+	var crc [frameCRCLen]byte
+	binary.LittleEndian.PutUint32(crc[:], Checksum(rec[len(buf):]))
+	return append(rec, crc[:]...)
+}

@@ -295,7 +295,7 @@ func (ex *executor) evalVersionNav(name string, b *binding) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	versions, err := ex.versions(b.doc)
+	versions, err := ex.engine.VersionsContext(ex.ctx, b.doc)
 	if err != nil {
 		return nil, err
 	}

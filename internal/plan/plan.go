@@ -24,23 +24,20 @@ import (
 	"txmldb/internal/xmltree"
 )
 
-// Engine is what the executor needs from the database; internal/core
-// implements it.
+// Engine is what the executor needs from the database; core.DB and
+// shard.Router implement it. Every operator that reads versions takes the
+// query's context, which carries cancellation, the deadline and the
+// epoch pin that makes the whole query one snapshot.
 type Engine interface {
+	ContextScanner
+	ContextReconstructor
+	ContextVersionLister
+	Prefetcher
+	DegradedReporter
 	// Now returns the current transaction time.
 	Now() model.Time
 	// LookupDoc resolves a document URL.
 	LookupDoc(url string) (model.DocID, bool)
-	// ScanT is the TPatternScan operator (snapshot at t).
-	ScanT(p *pattern.PNode, t model.Time) ([]pattern.Match, error)
-	// ScanAll is the TPatternScanAll operator (all versions).
-	ScanAll(p *pattern.PNode) ([]pattern.Match, error)
-	// ScanCurrent is the non-temporal PatternScan.
-	ScanCurrent(p *pattern.PNode) ([]pattern.Match, error)
-	// Versions returns a document's delta index.
-	Versions(doc model.DocID) ([]store.VersionInfo, error)
-	// ReconstructVersion is the Reconstruct operator.
-	ReconstructVersion(doc model.DocID, ver model.VersionNo) (store.VersionTree, error)
 	// CreTime returns an element's creation time.
 	CreTime(eid model.EID) (model.Time, error)
 	// DelTime returns an element's deletion time (Forever while alive).
@@ -55,49 +52,45 @@ type VersionKey struct {
 	Ver model.VersionNo
 }
 
-// Prefetcher is an optional Engine extension: a batch — typically parallel
-// — materialization of document versions. The executor uses it to warm
-// its per-query tree cache before expanding [EVERY] and [t1 TO t2] FROM
-// items, overlapping the independent reconstructions while the expansion
-// itself stays sequential (results and reconstruction counts are
-// identical either way). sink is called once per materialized key, from
-// arbitrary goroutines but never concurrently. ran reports whether the
-// prefetch actually executed; when false (e.g. a single-worker engine)
-// the executor reconstructs on demand.
+// Prefetcher is a batch — typically parallel — materialization of
+// document versions. The executor uses it to warm its per-query tree
+// cache before expanding [EVERY] and [t1 TO t2] FROM items, overlapping
+// the independent reconstructions while the expansion itself stays
+// sequential (results and reconstruction counts are identical either
+// way). sink is called once per materialized key, from arbitrary
+// goroutines but never concurrently. ran reports whether the prefetch
+// actually executed; when false (e.g. a single-worker engine) the
+// executor reconstructs on demand.
 type Prefetcher interface {
 	PrefetchVersions(ctx context.Context, keys []VersionKey, sink func(VersionKey, store.VersionTree)) (ran bool, err error)
 }
 
-// ContextReconstructor is an optional Engine extension: a context-aware
-// Reconstruct operator. The executor prefers it for row materialization,
-// so cancellation (and, when the engine carries a resilience tier, the
-// circuit breaker's fast-fail) reaches the version store's retry loop.
+// ContextReconstructor is the Reconstruct operator under the query's
+// context, so cancellation (and, when the engine carries a resilience
+// tier, the circuit breaker's fast-fail) reaches the version store's
+// retry loop.
 type ContextReconstructor interface {
 	ReconstructVersionContext(ctx context.Context, doc model.DocID, ver model.VersionNo) (store.VersionTree, error)
 }
 
-// ContextVersionLister is an optional Engine extension: a version listing
-// that honors the executor's context. Engines with epoch-pinned snapshot
-// reads use it so a pinned query's [EVERY] and interval expansions select
-// only versions published at or before the pin.
+// ContextVersionLister returns a document's delta index under the
+// query's context: a pinned query's [EVERY] and interval expansions
+// select only versions published at or before the pin.
 type ContextVersionLister interface {
 	VersionsContext(ctx context.Context, doc model.DocID) ([]store.VersionInfo, error)
 }
 
-// DegradedReporter is an optional Engine extension: engines carrying a
-// resilience tier report whether they are serving in degraded mode so the
-// executor can flag results (Result.Degraded, the envelope's
-// "degraded":true).
+// DegradedReporter reports whether an engine carrying a resilience tier
+// is serving in degraded mode, so the executor can flag results
+// (Result.Degraded, the envelope's "degraded":true).
 type DegradedReporter interface {
 	DegradedMode() bool
 }
 
-// ContextScanner is an optional Engine extension: context-aware variants
-// of the pattern-scan operators. The executor prefers these, passing the
-// query's context, so cancellation and deadline expiry reach the
-// per-document join inside a scan instead of waiting for the next
-// reconstruction checkpoint. Engines without it fall back to the
-// context-free Engine methods.
+// ContextScanner holds the pattern-scan operators under the query's
+// context, so cancellation and deadline expiry reach the per-document
+// join inside a scan: TPatternScan (snapshot at t), TPatternScanAll (all
+// versions) and the non-temporal PatternScan.
 type ContextScanner interface {
 	ScanTContext(ctx context.Context, p *pattern.PNode, t model.Time) ([]pattern.Match, error)
 	ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error)
@@ -126,12 +119,6 @@ type Result struct {
 	Degraded bool
 }
 
-// Run executes a parsed query.
-func Run(e Engine, q *query.Query) (*Result, error) {
-	//txvet:ignore ctxflow context-free convenience wrapper; RunContext is the canonical path
-	return RunContext(context.Background(), e, q)
-}
-
 // RunContext executes a parsed query under a context. Cancellation and
 // deadline expiry are observed at every version reconstruction and, for
 // cheap row work, every ctxStride steps; an interrupted query returns the
@@ -144,12 +131,6 @@ func RunContext(ctx context.Context, e Engine, q *query.Query) (*Result, error) 
 		treeCache: make(map[treeKey]*store.VersionTree),
 	}
 	return ex.run(q)
-}
-
-// RunString parses and executes a query text.
-func RunString(e Engine, src string) (*Result, error) {
-	//txvet:ignore ctxflow context-free convenience wrapper; RunStringContext is the canonical path
-	return RunStringContext(context.Background(), e, src)
 }
 
 // RunStringContext parses and executes a query text under a context.

@@ -134,14 +134,20 @@ func (r *Router) Current(id model.DocID) (*xmltree.Node, store.VersionInfo, erro
 	return r.shards[s].Current(local)
 }
 
-// Versions implements plan.Engine.
+// Versions returns a document's delta index at the live horizon.
 func (r *Router) Versions(id model.DocID) ([]store.VersionInfo, error) {
+	return r.VersionsContext(context.Background(), id)
+}
+
+// VersionsContext implements plan.ContextVersionLister, routed to the
+// owning shard under the query's epoch vector.
+func (r *Router) VersionsContext(ctx context.Context, id model.DocID) ([]store.VersionInfo, error) {
 	s, local, err := r.locate(id)
 	if err != nil {
 		return nil, err
 	}
 	defer r.gates[s].enter()()
-	return r.shards[s].Versions(local)
+	return r.shards[s].VersionsContext(shardCtx(ctx, s), local)
 }
 
 // --- scatter-gather scans ---
@@ -155,11 +161,12 @@ func (r *Router) Versions(id model.DocID) ([]store.VersionInfo, error) {
 // a pure interleave that reproduces the single engine's ascending-DocID
 // merge byte for byte. A failing shard fails the scan typed ("shard %d:"
 // wrapping the engine's resilience error) — multi-document operators do
-// not silently return partial results.
-func (r *Router) scatter(ctx context.Context, scope string, fn func(db *core.DB) ([]pattern.Match, error)) ([]pattern.Match, error) {
-	per, err := parallel.Map(ctx, r.pool, scope, r.n, func(s int) ([]pattern.Match, error) {
+// not silently return partial results. Each shard scans under its element
+// of the query's epoch vector.
+func (r *Router) scatter(ctx context.Context, scan func(ctx context.Context, db *core.DB) ([]pattern.Match, error)) ([]pattern.Match, error) {
+	per, err := parallel.Map(ctx, r.pool, "shardscan", r.n, func(s int) ([]pattern.Match, error) {
 		release := r.gates[s].enter()
-		ms, err := fn(r.shards[s])
+		ms, err := scan(shardCtx(ctx, s), r.shards[s])
 		release()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
@@ -200,40 +207,25 @@ func (r *Router) translateMatches(s int, ms []pattern.Match) ([]pattern.Match, e
 // ScanTContext implements plan.ContextScanner: the pattern against the
 // snapshot valid at t, across all shards.
 func (r *Router) ScanTContext(ctx context.Context, p *pattern.PNode, t model.Time) ([]pattern.Match, error) {
-	return r.scatter(ctx, "shardscan", func(db *core.DB) ([]pattern.Match, error) {
+	return r.scatter(ctx, func(ctx context.Context, db *core.DB) ([]pattern.Match, error) {
 		return db.ScanTContext(ctx, p, t)
 	})
-}
-
-// ScanT implements plan.Engine by delegating to ScanTContext.
-func (r *Router) ScanT(p *pattern.PNode, t model.Time) ([]pattern.Match, error) {
-	return r.ScanTContext(context.Background(), p, t)
 }
 
 // ScanAllContext implements plan.ContextScanner: the pattern against all
 // versions of all documents, across all shards.
 func (r *Router) ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error) {
-	return r.scatter(ctx, "shardscan", func(db *core.DB) ([]pattern.Match, error) {
+	return r.scatter(ctx, func(ctx context.Context, db *core.DB) ([]pattern.Match, error) {
 		return db.ScanAllContext(ctx, p)
 	})
-}
-
-// ScanAll implements plan.Engine by delegating to ScanAllContext.
-func (r *Router) ScanAll(p *pattern.PNode) ([]pattern.Match, error) {
-	return r.ScanAllContext(context.Background(), p)
 }
 
 // ScanCurrentContext implements plan.ContextScanner: the non-temporal
 // PatternScan across all shards.
 func (r *Router) ScanCurrentContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error) {
-	return r.scatter(ctx, "shardscan", func(db *core.DB) ([]pattern.Match, error) {
+	return r.scatter(ctx, func(ctx context.Context, db *core.DB) ([]pattern.Match, error) {
 		return db.ScanCurrentContext(ctx, p)
 	})
-}
-
-// ScanCurrent implements plan.Engine by delegating to ScanCurrentContext.
-func (r *Router) ScanCurrent(p *pattern.PNode) ([]pattern.Match, error) {
-	return r.ScanCurrentContext(context.Background(), p)
 }
 
 // --- the TEID-level operators of Section 6.1 ---
@@ -241,7 +233,7 @@ func (r *Router) ScanCurrent(p *pattern.PNode) ([]pattern.Match, error) {
 // TPatternScan matches the pattern at time t and returns projected TEIDs
 // in the global space.
 func (r *Router) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, error) {
-	ms, err := r.ScanT(p, t)
+	ms, err := r.ScanTContext(context.Background(), p, t)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +243,7 @@ func (r *Router) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, err
 // TPatternScanAll matches against all versions of all documents; each
 // TEID is stamped with the start of its match's temporal overlap.
 func (r *Router) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
-	ms, err := r.ScanAll(p)
+	ms, err := r.ScanAllContext(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +252,7 @@ func (r *Router) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
 
 // PatternScan matches against the current database state.
 func (r *Router) PatternScan(p *pattern.PNode) ([]model.TEID, error) {
-	ms, err := r.ScanCurrent(p)
+	ms, err := r.ScanCurrentContext(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +294,7 @@ func (r *Router) DocHistoryContext(ctx context.Context, id model.DocID, iv model
 		return nil, err
 	}
 	defer r.gates[s].enter()()
-	return r.shards[s].DocHistoryContext(ctx, local, iv)
+	return r.shards[s].DocHistoryContext(shardCtx(ctx, s), local, iv)
 }
 
 // ElementHistory returns all versions of the element valid in the
@@ -319,7 +311,7 @@ func (r *Router) ElementHistoryContext(ctx context.Context, eid model.EID, iv mo
 	}
 	defer r.gates[s].enter()()
 	eid.Doc = local
-	return r.shards[s].ElementHistoryContext(ctx, eid, iv)
+	return r.shards[s].ElementHistoryContext(shardCtx(ctx, s), eid, iv)
 }
 
 // Reconstruct rebuilds the element version identified by the TEID.
@@ -335,10 +327,11 @@ func (r *Router) ReconstructContext(ctx context.Context, teid model.TEID) (*xmlt
 	}
 	defer r.gates[s].enter()()
 	teid.E.Doc = local
-	return r.shards[s].ReconstructContext(ctx, teid)
+	return r.shards[s].ReconstructContext(shardCtx(ctx, s), teid)
 }
 
-// ReconstructVersion implements plan.Engine.
+// ReconstructVersion is the Reconstruct operator for a whole document
+// version; see ReconstructVersionContext.
 func (r *Router) ReconstructVersion(id model.DocID, ver model.VersionNo) (store.VersionTree, error) {
 	return r.ReconstructVersionContext(context.Background(), id, ver)
 }
@@ -351,7 +344,7 @@ func (r *Router) ReconstructVersionContext(ctx context.Context, id model.DocID, 
 		return store.VersionTree{}, err
 	}
 	defer r.gates[s].enter()()
-	return r.shards[s].ReconstructVersionContext(ctx, local, ver)
+	return r.shards[s].ReconstructVersionContext(shardCtx(ctx, s), local, ver)
 }
 
 // ReconstructBatch reconstructs many element versions on the router pool;
@@ -394,7 +387,7 @@ func (r *Router) PrefetchVersions(ctx context.Context, keys []plan.VersionKey, s
 		release := r.gates[s].enter()
 		defer release()
 		back := toGlobal[s]
-		ran, err := r.shards[s].PrefetchVersions(ctx, groups[s], func(lk plan.VersionKey, vt store.VersionTree) {
+		ran, err := r.shards[s].PrefetchVersions(shardCtx(ctx, s), groups[s], func(lk plan.VersionKey, vt store.VersionTree) {
 			sinkMu.Lock()
 			defer sinkMu.Unlock()
 			if gk, ok := back[lk]; ok {
@@ -521,19 +514,54 @@ func (r *Router) DiffNodes(a, b *xmltree.Node) (*xmltree.Node, error) {
 }
 
 // --- queries ---
+//
+// A routed query runs at one epoch vector: QueryContext reads every
+// shard's commit horizon once, at query start, and every call it routes to
+// shard s carries store.WithEpoch(ctx, vec[s]) — scatter scans, version
+// listing, reconstruction, prefetch and histories. Every write touches one
+// document and so one shard, so the vector is a consistent cut. A
+// single-engine pin the caller brought counts commits of one shard only
+// and is meaningless across shards, so routed calls replace it.
 
-// Query parses and executes a temporal query against the sharded
-// ensemble: the plan executor runs unmodified on the router.
-func (r *Router) Query(src string) (*plan.Result, error) {
-	return plan.RunString(r, src)
+// epochsKey carries a routed query's epoch vector in its context.
+type epochsKey struct{}
+
+// pinned returns ctx carrying an epoch vector: the one ctx already has,
+// else every shard's current horizon.
+func (r *Router) pinned(ctx context.Context) context.Context {
+	if _, ok := ctx.Value(epochsKey{}).([]uint64); ok {
+		return ctx
+	}
+	vec := make([]uint64, r.n)
+	for s, db := range r.shards {
+		vec[s] = db.Epoch()
+	}
+	return context.WithValue(ctx, epochsKey{}, vec)
 }
 
-// QueryContext is Query under a caller context. Degraded-serving
-// accounting happens inside each shard's engine (cache-hit fallbacks note
+// shardCtx is ctx as shard s sees it: pinned at the shard's element of
+// the query's epoch vector, unpinned outside a routed query.
+func shardCtx(ctx context.Context, s int) context.Context {
+	var e uint64
+	if vec, ok := ctx.Value(epochsKey{}).([]uint64); ok {
+		e = vec[s]
+	}
+	return store.WithEpoch(ctx, e)
+}
+
+// Query parses and executes a temporal query; see QueryContext.
+func (r *Router) Query(src string) (*plan.Result, error) {
+	return r.QueryContext(context.Background(), src)
+}
+
+// QueryContext parses and executes a temporal query against the sharded
+// ensemble under a caller context, pinned to one epoch vector: the plan
+// executor runs unmodified on the router. Degraded-serving accounting
+// happens inside each shard's engine (cache-hit fallbacks note
 // themselves); the result's Degraded flag reflects the ensemble via the
 // router's DegradedMode.
 func (r *Router) QueryContext(ctx context.Context, src string) (*plan.Result, error) {
-	return plan.RunStringContext(ctx, r, src)
+	return plan.RunStringContext(r.pinned(ctx), r, src)
 }
 
 // Explain returns the operator plan of a query without executing it.

@@ -141,9 +141,8 @@ func (g *gate) enter() func() {
 }
 
 // Router partitions documents across N engines and scatter-gathers the
-// multi-document temporal operators. It implements plan.Engine and the
-// optional executor extensions, so it is a drop-in engine for the query
-// planner and the HTTP server.
+// multi-document temporal operators. It implements plan.Engine, so it is
+// a drop-in engine for the query planner and the HTTP server.
 type Router struct {
 	cfg    Config
 	n      int

@@ -11,22 +11,6 @@ import (
 	"txmldb/internal/pagestore"
 )
 
-// durableStore opens a WAL-backed store in dir.
-func durableStore(t *testing.T, dir string, cfg Config) *Store {
-	t.Helper()
-	wal, err := pagestore.OpenWAL(filepath.Join(dir, "pages.wal"))
-	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
-	}
-	cfg.Pages.Backend = wal
-	s, err := Open(cfg)
-	if err != nil {
-		wal.Close()
-		t.Fatalf("Open: %v", err)
-	}
-	return s
-}
-
 // docImage is the byte-exact observable state of one document: every
 // version's serialized tree, in version order, plus liveness.
 type docImage struct {
@@ -64,15 +48,15 @@ func capture(t *testing.T, s *Store) map[string]docImage {
 }
 
 // TestCrashPointRecovery is the crash-at-every-offset property test: run a
-// multi-document workload against a WAL-backed store, remember the log size
-// and full observable state at every commit, then simulate a crash at every
-// byte offset of the log — truncate a copy there, reopen, and require that
-// exactly the versions of the last whole commit reconstruct byte-identically
-// and that Fsck finds nothing wrong.
+// multi-document workload against a store on a one-segment log, remember
+// the log size and full observable state at every commit, then simulate a
+// crash at every byte offset of the segment — truncate a copy there,
+// reopen, and require that exactly the versions of the last whole commit
+// reconstruct byte-identically and that Fsck finds nothing wrong.
 func TestCrashPointRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s := durableStore(t, dir, Config{SnapshotEvery: 2})
-	wal := s.Pages().Backend().(*pagestore.WAL)
+	s := segStore(t, dir, Config{SnapshotEvery: 2})
+	wal := s.Pages().Backend().(*pagestore.SegmentedWAL)
 
 	type golden struct {
 		offset int64
@@ -114,7 +98,10 @@ func TestCrashPointRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full, err := os.ReadFile(filepath.Join(dir, "pages.wal"))
+	if wal.Pos().Seq != 1 {
+		t.Fatalf("workload rotated to segment %d; the crash sweep cuts segment 1 only", wal.Pos().Seq)
+	}
+	full, err := os.ReadFile(filepath.Join(dir, pagestore.SegmentFileName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +109,6 @@ func TestCrashPointRecovery(t *testing.T) {
 		t.Fatalf("log size %d != last commit offset %d", len(full), goldens[len(goldens)-1].offset)
 	}
 
-	crashDir := filepath.Join(dir, "crash")
-	if err := os.MkdirAll(crashDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	for cut := int64(0); cut <= int64(len(full)); cut++ {
 		want := goldens[0]
 		for _, g := range goldens {
@@ -133,18 +116,11 @@ func TestCrashPointRecovery(t *testing.T) {
 				want = g
 			}
 		}
-		path := filepath.Join(crashDir, "pages.wal")
-		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+		crashDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(crashDir, pagestore.SegmentFileName(1)), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		wal, err := pagestore.OpenWAL(path)
-		if err != nil {
-			t.Fatalf("cut=%d: OpenWAL: %v", cut, err)
-		}
-		rs, err := Open(Config{Pages: pagestore.Config{Backend: wal}, SnapshotEvery: 2})
-		if err != nil {
-			t.Fatalf("cut=%d: Open: %v", cut, err)
-		}
+		rs := segStore(t, crashDir, Config{SnapshotEvery: 2})
 		got := capture(t, rs)
 		if !reflect.DeepEqual(got, want.state) {
 			t.Fatalf("cut=%d: recovered state does not match commit at offset %d:\ngot  %#v\nwant %#v",
@@ -161,7 +137,7 @@ func TestCrashPointRecovery(t *testing.T) {
 // its full history and accepts further writes that survive the next reopen.
 func TestDurableReopenContinuesWriting(t *testing.T) {
 	dir := t.TempDir()
-	s := durableStore(t, dir, Config{})
+	s := segStore(t, dir, Config{})
 	id, err := s.Put("guide.xml", guideV(map[string]string{"Napoli": "15"}), jan1)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +148,7 @@ func TestDurableReopenContinuesWriting(t *testing.T) {
 	before := capture(t, s)
 	s.Close()
 
-	r := durableStore(t, dir, Config{})
+	r := segStore(t, dir, Config{})
 	if got := capture(t, r); !reflect.DeepEqual(got, before) {
 		t.Fatalf("state after reopen differs:\ngot  %#v\nwant %#v", got, before)
 	}
@@ -193,7 +169,7 @@ func TestDurableReopenContinuesWriting(t *testing.T) {
 	after := capture(t, r)
 	r.Close()
 
-	r2 := durableStore(t, dir, Config{})
+	r2 := segStore(t, dir, Config{})
 	defer r2.Close()
 	if got := capture(t, r2); !reflect.DeepEqual(got, after) {
 		t.Fatalf("state after second reopen differs:\ngot  %#v\nwant %#v", got, after)
@@ -206,7 +182,7 @@ func TestDurableReopenContinuesWriting(t *testing.T) {
 // recovery error, and Fsck names the damage.
 func TestRecoveryWithLostCurrentSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s := durableStore(t, dir, Config{SnapshotEvery: 2})
+	s := segStore(t, dir, Config{SnapshotEvery: 2})
 	id, err := s.Put("guide.xml", guideV(map[string]string{"Napoli": "15"}), jan1)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +205,7 @@ func TestRecoveryWithLostCurrentSnapshot(t *testing.T) {
 
 	// Reopen with the current version's snapshot extent dropped (an
 	// unreadable sector discovered during recovery).
-	wal, err := pagestore.OpenWAL(filepath.Join(dir, "pages.wal"))
+	wal, err := pagestore.OpenSegmentedWAL(pagestore.SegWALConfig{Dir: dir, SegmentBytes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
