@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"txmldb/internal/model"
+	"txmldb/internal/xmltree"
 )
 
 // appendGarbage simulates a torn final write: random non-frame bytes after
@@ -211,4 +213,56 @@ func TestOpenDurableSurvivesTornTail(t *testing.T) {
 	if rep := db.Fsck(); !rep.Clean() {
 		t.Fatalf("fsck after torn-tail recovery:\n%s", rep)
 	}
+}
+
+// TestNamespacedAttributesSurviveStorage: attribute names with a prefix —
+// the predeclared xml:lang and a declared p:k — are stored as written, so
+// a past version stays reachable before and after a reopen and the
+// current version is not degraded by recovery.
+func TestNamespacedAttributesSurviveStorage(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Clock: func() model.Time { return feb10 }}
+	db, err := OpenDurable(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := func(k, name string) *xmltree.Node {
+		return xmltree.MustParse(`<guide xml:lang="en" xmlns:p="urn:x"><restaurant p:k="` + k +
+			`"><name>` + name + `</name></restaurant></guide>`)
+	}
+	id, err := db.Put(guideURL, doc("1", "Napoli"), jan1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.Update(id, doc("2", "Akropolis"), jan15); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, db *DB) {
+		t.Helper()
+		for _, c := range []struct{ at, want string }{
+			{"05/01/2001", `<restaurant p:k="1"><name>Napoli</name></restaurant>`},
+			{"20/01/2001", `<restaurant p:k="2"><name>Akropolis</name></restaurant>`},
+		} {
+			res, err := db.Query(`SELECT R FROM doc("` + guideURL + `")[` + c.at + `]/restaurant R`)
+			if err != nil {
+				t.Fatalf("%s, query at %s: %v", when, c.at, err)
+			}
+			if got := res.Doc().String(); len(res.Rows) != 1 || !strings.Contains(got, c.want) {
+				t.Fatalf("%s, query at %s = %s, want one row %s", when, c.at, got, c.want)
+			}
+		}
+		if rep := db.Fsck(); !rep.Clean() {
+			t.Fatalf("%s: fsck:\n%s", when, rep)
+		}
+	}
+	check("before reopen", db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = OpenDurable(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	check("after reopen", db)
 }

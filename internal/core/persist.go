@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -68,7 +69,9 @@ func (db *DB) Load(dir string) error {
 	if err != nil {
 		return fmt.Errorf("core: load: %w", err)
 	}
-	manifest, err := xmltree.Unmarshal(data)
+	// The dump is an interchange format that people read and edit (the
+	// manifest is indented), so it goes through the general parser.
+	manifest, err := xmltree.Parse(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("core: load: manifest: %w", err)
 	}
@@ -127,7 +130,7 @@ func (db *DB) Load(dir string) error {
 		if err != nil {
 			return fmt.Errorf("core: load: %w", err)
 		}
-		tree, err := xmltree.Unmarshal(data)
+		tree, err := xmltree.Parse(bytes.NewReader(data))
 		if err != nil {
 			return fmt.Errorf("core: load: %s: %w", ev.file, err)
 		}

@@ -178,7 +178,7 @@ func TestForwardApplyMatchesDiffResult(t *testing.T) {
 	s, res := mustDiff(t, old, new, a, 100, 200)
 
 	replay := old.Clone()
-	if err := Apply(replay, s); err != nil {
+	if err := NewIndex(replay).Apply(s); err != nil {
 		t.Fatal(err)
 	}
 	if !xmltree.Equal(replay, res) {
@@ -194,7 +194,7 @@ func TestBackwardApplyRestoresOldVersion(t *testing.T) {
 	s, res := mustDiff(t, old, new, a, 100, 200)
 
 	back := res.Clone()
-	if err := Apply(back, s.Invert()); err != nil {
+	if err := NewIndex(back).Apply(s.Invert()); err != nil {
 		t.Fatal(err)
 	}
 	if !xmltree.Equal(back, old) {
@@ -242,7 +242,7 @@ func TestScriptXMLRoundTrip(t *testing.T) {
 		t.Fatalf("ops %d/%d restamps %d/%d", len(parsed.Ops), len(s.Ops), len(parsed.Restamps), len(s.Restamps))
 	}
 	replay := old.Clone()
-	if err := Apply(replay, parsed); err != nil {
+	if err := NewIndex(replay).Apply(parsed); err != nil {
 		t.Fatal(err)
 	}
 	if !xmltree.Equal(replay, res) {
@@ -269,7 +269,7 @@ func TestScriptXMLSurvivesSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay := old.Clone()
-	if err := Apply(replay, parsed); err != nil {
+	if err := NewIndex(replay).Apply(parsed); err != nil {
 		t.Fatal(err)
 	}
 	if !xmltree.Equal(replay, res) {
@@ -303,7 +303,7 @@ func TestApplyErrors(t *testing.T) {
 		{Ops: []Op{{Kind: OpInsert, Parent: root.XID, Pos: 7, Node: xmltree.NewElement("x")}}},
 	}
 	for i, s := range cases {
-		if err := Apply(root.Clone(), &s); err == nil {
+		if err := NewIndex(root.Clone()).Apply(&s); err == nil {
 			t.Errorf("case %d: expected apply error", i)
 		}
 	}
@@ -413,13 +413,13 @@ func TestPropertyDiffApplyRoundTrip(t *testing.T) {
 		}
 		// Forward replay.
 		fwd := old.Clone()
-		if err := Apply(fwd, s); err != nil || !xmltree.Equal(fwd, res) {
+		if err := NewIndex(fwd).Apply(s); err != nil || !xmltree.Equal(fwd, res) {
 			t.Logf("seed %d: forward replay failed: %v", seed, err)
 			return false
 		}
 		// Backward replay.
 		back := res.Clone()
-		if err := Apply(back, s.Invert()); err != nil || !xmltree.Equal(back, old) {
+		if err := NewIndex(back).Apply(s.Invert()); err != nil || !xmltree.Equal(back, old) {
 			t.Logf("seed %d: backward replay failed: %v", seed, err)
 			return false
 		}
@@ -464,7 +464,7 @@ func TestPropertyScriptXMLRoundTrip(t *testing.T) {
 			return false
 		}
 		fwd := old.Clone()
-		if err := Apply(fwd, parsed); err != nil {
+		if err := NewIndex(fwd).Apply(parsed); err != nil {
 			t.Logf("seed %d: apply parsed: %v", seed, err)
 			return false
 		}
@@ -578,7 +578,7 @@ func BenchmarkApplyInvertedScript(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree := res.Clone()
-		if err := Apply(tree, inv); err != nil {
+		if err := NewIndex(tree).Apply(inv); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -145,12 +145,53 @@ func invertOp(op Op) Op {
 	}
 }
 
-// Apply transforms the tree rooted at root in place by executing the script
-// forward. Applying an inverted script performs backward reconstruction.
-func Apply(root *xmltree.Node, s *Script) error {
-	idx := buildXIDIndex(root)
+// Index maps the XIDs of one tree to its nodes. Index.Apply keeps it
+// current as it edits the tree, so a replay chain (Section 7.3.3's
+// snapshot plus deltas) indexes the tree once rather than once per delta.
+// The tree must change only through the Index while it is in use.
+type Index struct {
+	root  *xmltree.Node
+	byXID map[model.XID]*xmltree.Node // built by the first Apply
+}
+
+// NewIndex returns the index of the tree rooted at root. The tree is walked
+// on the first Apply, so a chain that turns out to be empty costs nothing.
+func NewIndex(root *xmltree.Node) *Index { return &Index{root: root} }
+
+// nodes returns the XID map, building it on first use.
+func (x *Index) nodes() map[model.XID]*xmltree.Node {
+	if x.byXID == nil {
+		x.byXID = make(map[model.XID]*xmltree.Node)
+		x.add(x.root)
+	}
+	return x.byXID
+}
+
+func (x *Index) add(sub *xmltree.Node) {
+	sub.Walk(func(n *xmltree.Node) bool {
+		if n.XID != 0 {
+			x.byXID[n.XID] = n
+		}
+		return true
+	})
+}
+
+func (x *Index) remove(sub *xmltree.Node) {
+	sub.Walk(func(n *xmltree.Node) bool {
+		delete(x.byXID, n.XID)
+		return true
+	})
+}
+
+// Apply transforms the indexed tree in place by executing s forward and
+// updates the index to match; applying an inverted script performs
+// backward reconstruction. Insert payloads are cloned, so s can be applied
+// again elsewhere. After an error the tree is partly edited and
+// both it and the index should be discarded.
+func (x *Index) Apply(s *Script) error {
+	idx := x.nodes()
 	for i, op := range s.Ops {
-		if err := applyOp(root, op, idx); err != nil {
+		if err := x.applyOp(op); err != nil {
 			return fmt.Errorf("diff: apply op %d (%s): %w", i, op.Kind, err)
 		}
 	}
@@ -162,18 +203,8 @@ func Apply(root *xmltree.Node, s *Script) error {
 	return nil
 }
 
-func buildXIDIndex(root *xmltree.Node) map[model.XID]*xmltree.Node {
-	idx := make(map[model.XID]*xmltree.Node)
-	root.Walk(func(n *xmltree.Node) bool {
-		if n.XID != 0 {
-			idx[n.XID] = n
-		}
-		return true
-	})
-	return idx
-}
-
-func applyOp(root *xmltree.Node, op Op, idx map[model.XID]*xmltree.Node) error {
+func (x *Index) applyOp(op Op) error {
+	idx := x.byXID
 	switch op.Kind {
 	case OpInsert:
 		parent := idx[op.Parent]
@@ -185,22 +216,14 @@ func applyOp(root *xmltree.Node, op Op, idx map[model.XID]*xmltree.Node) error {
 		}
 		sub := op.Node.Clone()
 		parent.InsertChild(op.Pos, sub)
-		sub.Walk(func(n *xmltree.Node) bool {
-			if n.XID != 0 {
-				idx[n.XID] = n
-			}
-			return true
-		})
+		x.add(sub)
 	case OpDelete:
 		n := idx[op.XID]
 		if n == nil {
 			return fmt.Errorf("delete target %d not found", op.XID)
 		}
 		n.Detach()
-		n.Walk(func(d *xmltree.Node) bool {
-			delete(idx, d.XID)
-			return true
-		})
+		x.remove(n)
 	case OpUpdateText:
 		n := idx[op.XID]
 		if n == nil {
@@ -310,7 +333,10 @@ func attrsToXML(name string, attrs []xmltree.Attr) *xmltree.Node {
 	return e
 }
 
-// FromXML parses a <txdelta> tree produced by ToXML.
+// FromXML parses a <txdelta> tree produced by ToXML. It takes ownership of
+// root: each insert and delete payload is detached from root and becomes
+// the script's node as is, not a copy, so root must not be used afterwards.
+// The version store hands it the tree it has just decoded from disk.
 func FromXML(root *xmltree.Node) (*Script, error) {
 	if root.Name != "txdelta" {
 		return nil, fmt.Errorf("diff: FromXML: root is <%s>, want <txdelta>", root.Name)
@@ -346,7 +372,7 @@ func FromXML(root *xmltree.Node) (*Script, error) {
 			if len(subs) != 1 && len(e.Children) != 1 {
 				return nil, fmt.Errorf("diff: FromXML: insert payload must be one node")
 			}
-			op.Node = e.Children[0].Clone()
+			op.Node = e.Children[0].Detach()
 			s.Ops = append(s.Ops, op)
 		case "delete":
 			op := Op{Kind: OpDelete}
@@ -360,7 +386,7 @@ func FromXML(root *xmltree.Node) (*Script, error) {
 				return nil, err
 			}
 			if len(e.Children) == 1 {
-				op.Node = e.Children[0].Clone()
+				op.Node = e.Children[0].Detach()
 			}
 			s.Ops = append(s.Ops, op)
 		case "update", "rename":

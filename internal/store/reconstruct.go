@@ -83,10 +83,14 @@ func (s *Store) ReconstructVersionContext(ctx context.Context, id model.DocID, v
 	if !ok {
 		return VersionTree{}, fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	return s.reconstruct(ctx, d, ver)
+	vt, _, err := s.reconstruct(ctx, d, ver)
+	return vt, err
 }
 
-func (s *Store) reconstruct(ctx context.Context, d *docEntry, ver model.VersionNo) (VersionTree, error) {
+// reconstruct materializes version ver of d and returns the XID index of
+// the replay chain that produced it, still current for the returned tree, so
+// a caller walking on from ver (DocHistory) keeps extending the same chain.
+func (s *Store) reconstruct(ctx context.Context, d *docEntry, ver model.VersionNo) (VersionTree, *diff.Index, error) {
 	// Selection honors the epoch pin: versions published after the pin do
 	// not exist for this reader. Mechanics below deliberately do not — the
 	// snapshot search walks the full version list, because a pinned target's
@@ -96,10 +100,10 @@ func (s *Store) reconstruct(ctx context.Context, d *docEntry, ver model.VersionN
 	// has dropped the old current snapshot in favor of a newer one.
 	e := epochOf(ctx)
 	if ver < 1 || int(ver) > d.visibleLen(e) {
-		return VersionTree{}, fmt.Errorf("store: doc %d has no version %d", d.id, ver)
+		return VersionTree{}, nil, fmt.Errorf("store: doc %d has no version %d", d.id, ver)
 	}
 	if d.versions[ver-1].Pruned {
-		return VersionTree{}, fmt.Errorf("%w: version %d of doc %d", ErrPruned, ver, d.id)
+		return VersionTree{}, nil, fmt.Errorf("%w: version %d of doc %d", ErrPruned, ver, d.id)
 	}
 	// Use the oldest readable snapshot at or after the target version (the
 	// current version always has a full serialization). A corrupt snapshot
@@ -129,22 +133,23 @@ func (s *Store) reconstruct(ctx context.Context, d *docEntry, ver model.VersionN
 	}
 	if tree == nil {
 		if snapErr != nil {
-			return VersionTree{}, fmt.Errorf("%w: version %d of doc %d: %w", ErrUnreachable, ver, d.id, snapErr)
+			return VersionTree{}, nil, fmt.Errorf("%w: version %d of doc %d: %w", ErrUnreachable, ver, d.id, snapErr)
 		}
-		return VersionTree{}, fmt.Errorf("store: doc %d: no snapshot at or after version %d", d.id, ver)
+		return VersionTree{}, nil, fmt.Errorf("store: doc %d: no snapshot at or after version %d", d.id, ver)
 	}
 	// Apply inverted deltas backwards: snapVer-1 → ... → ver.
+	idx := diff.NewIndex(tree)
 	for v := snapVer - 1; v >= ver; v-- {
 		script, err := s.readScript(ctx, d, v)
 		if err != nil {
-			return VersionTree{}, fmt.Errorf("%w: version %d of doc %d depends on delta %d→%d: %w",
+			return VersionTree{}, nil, fmt.Errorf("%w: version %d of doc %d depends on delta %d→%d: %w",
 				ErrUnreachable, ver, d.id, v, v+1, err)
 		}
-		if err := diff.Apply(tree, script.Invert()); err != nil {
-			return VersionTree{}, fmt.Errorf("store: applying inverse delta %d→%d: %w", v+1, v, err)
+		if err := idx.Apply(script.Invert()); err != nil {
+			return VersionTree{}, nil, fmt.Errorf("store: applying inverse delta %d→%d: %w", v+1, v, err)
 		}
 	}
-	return VersionTree{Info: d.infoAt(int(ver)-1, e), Root: tree}, nil
+	return VersionTree{Info: d.infoAt(int(ver)-1, e), Root: tree}, idx, nil
 }
 
 // ReconstructFrom rebuilds version `to` of the document by replaying
@@ -179,13 +184,14 @@ func (s *Store) ReconstructFromContext(ctx context.Context, id model.DocID, base
 		return VersionTree{}, fmt.Errorf("store: cannot replay doc %d forward from version %d to %d", d.id, from, to)
 	}
 	tree := base.Root.Clone()
+	idx := diff.NewIndex(tree)
 	for v := from; v < to; v++ {
 		script, err := s.readScript(ctx, d, v)
 		if err != nil {
 			return VersionTree{}, fmt.Errorf("%w: version %d of doc %d depends on delta %d→%d: %w",
 				ErrUnreachable, to, d.id, v, v+1, err)
 		}
-		if err := diff.Apply(tree, script); err != nil {
+		if err := idx.Apply(script); err != nil {
 			return VersionTree{}, fmt.Errorf("store: applying delta %d→%d: %w", v, v+1, err)
 		}
 	}
@@ -209,7 +215,8 @@ func (s *Store) ReconstructAtContext(ctx context.Context, id model.DocID, t mode
 	if err != nil {
 		return VersionTree{}, err
 	}
-	return s.reconstruct(ctx, d, v.Ver)
+	vt, _, err := s.reconstruct(ctx, d, v.Ver)
+	return vt, err
 }
 
 // DocHistory returns all versions of the document valid in [from, to),
@@ -246,7 +253,7 @@ func (s *Store) DocHistoryContext(ctx context.Context, id model.DocID, iv model.
 	}
 	// Reconstruct the newest version in range, then walk backwards with
 	// inverted deltas, reusing the intermediate trees.
-	vt, err := s.reconstruct(ctx, d, d.versions[last].Ver)
+	vt, idx, err := s.reconstruct(ctx, d, d.versions[last].Ver)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +270,7 @@ func (s *Store) DocHistoryContext(ctx context.Context, id model.DocID, iv model.
 			if err != nil {
 				return nil, err
 			}
-			if err := diff.Apply(tree, script.Invert()); err != nil {
+			if err := idx.Apply(script.Invert()); err != nil {
 				return nil, fmt.Errorf("store: history walk at version %d: %w", i, err)
 			}
 		}

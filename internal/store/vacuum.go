@@ -180,7 +180,7 @@ func (s *Store) intersperseSnapshotsLocked(d *docEntry, b, granule int, rep *Vac
 		if !v.Snapshot.Zero() || v.Pruned {
 			continue
 		}
-		vt, err := s.reconstruct(context.Background(), d, v.Ver)
+		vt, _, err := s.reconstruct(context.Background(), d, v.Ver)
 		if err != nil {
 			return fmt.Errorf("materializing snapshot of version %d: %w", v.Ver, err)
 		}

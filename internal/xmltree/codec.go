@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"txmldb/internal/model"
 )
@@ -26,15 +27,19 @@ const textXIDAttr = "txmldb:tx"
 // Parse reads one XML document from r and returns its root element.
 // Character data consisting only of whitespace between elements is dropped;
 // other character data becomes text nodes. Comments, processing instructions
-// and directives are skipped. Attributes named txmldb:xid / txmldb:stamp are
-// interpreted as persisted identity and removed from the visible attributes.
+// and directives are skipped. Element and attribute names are kept as
+// written (p:item, xml:lang, xmlns:p): the data model has no namespaces,
+// and a resolved or stripped name is not always one Marshal can write back
+// (<p:0> has no valid local name). Attributes named txmldb:xid,
+// txmldb:stamp and txmldb:tx are interpreted as persisted identity and
+// removed from the visible attributes.
 func Parse(r io.Reader) (*Node, error) {
 	dec := xml.NewDecoder(r)
 	var root *Node
 	var stack []*Node
 	pendingTX := make(map[*Node]string)
 	for {
-		tok, err := dec.Token()
+		tok, err := dec.RawToken()
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -43,12 +48,9 @@ func Parse(r io.Reader) (*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := NewElement(t.Name.Local)
+			n := NewElement(rawName(t.Name))
 			for _, a := range t.Attr {
-				name := a.Name.Local
-				if a.Name.Space != "" {
-					name = a.Name.Space + ":" + a.Name.Local
-				}
+				name := rawName(a.Name)
 				switch name {
 				case xidAttr:
 					if v, err := strconv.ParseUint(a.Value, 10, 64); err == nil {
@@ -77,9 +79,13 @@ func Parse(r io.Reader) (*Node, error) {
 			stack = append(stack, n)
 		case xml.EndElement:
 			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %q", t.Name.Local)
+				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %q", rawName(t.Name))
 			}
+			// RawToken leaves end-tag matching to the caller.
 			closed := stack[len(stack)-1]
+			if name := rawName(t.Name); name != closed.Name {
+				return nil, fmt.Errorf("xmltree: parse: element <%s> closed by </%s>", closed.Name, name)
+			}
 			if tx, ok := pendingTX[closed]; ok {
 				applyTextIdentities(closed, tx)
 				delete(pendingTX, closed)
@@ -113,17 +119,35 @@ func Parse(r io.Reader) (*Node, error) {
 	return root, nil
 }
 
+// rawName renders an unresolved name as written in the document.
+func rawName(n xml.Name) string {
+	if n.Space == "" {
+		return n.Local
+	}
+	return n.Space + ":" + n.Local
+}
+
 // applyTextIdentities decodes a txmldb:tx attribute ("idx:xid:stamp ...")
 // and assigns the identities to the element's text children by position.
+// Malformed entries are skipped. It works on substrings of tx and so does
+// not allocate.
 func applyTextIdentities(n *Node, tx string) {
-	for _, entry := range strings.Fields(tx) {
-		parts := strings.Split(entry, ":")
-		if len(parts) != 3 {
+	for rest := tx; rest != ""; {
+		rest = strings.TrimLeftFunc(rest, unicode.IsSpace)
+		end := strings.IndexFunc(rest, unicode.IsSpace)
+		if end < 0 {
+			end = len(rest)
+		}
+		entry := rest[:end]
+		rest = rest[end:]
+		idxStr, tail, ok1 := strings.Cut(entry, ":")
+		xidStr, stampStr, ok2 := strings.Cut(tail, ":")
+		if !ok1 || !ok2 || strings.Contains(stampStr, ":") {
 			continue
 		}
-		idx, err1 := strconv.Atoi(parts[0])
-		xid, err2 := strconv.ParseUint(parts[1], 10, 64)
-		stamp, err3 := strconv.ParseInt(parts[2], 10, 64)
+		idx, err1 := strconv.Atoi(idxStr)
+		xid, err2 := strconv.ParseUint(xidStr, 10, 64)
+		stamp, err3 := strconv.ParseInt(stampStr, 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil {
 			continue
 		}
@@ -252,9 +276,4 @@ func Marshal(n *Node) []byte {
 		panic(err) // in-memory serialization of a valid tree cannot fail
 	}
 	return []byte(b.String())
-}
-
-// Unmarshal parses a storage serialization produced by Marshal.
-func Unmarshal(data []byte) (*Node, error) {
-	return Parse(strings.NewReader(string(data)))
 }
